@@ -61,6 +61,17 @@ class SeeSawQueryAligner:
         if not np.any(self.query_text_vector):
             raise OptimizationError("query_text_vector must be non-zero")
         self.db_matrix = db_matrix if self.config.use_db_alignment else None
+        # The session's constant part of the objective — text vector,
+        # symmetrised and finiteness-checked M_D, effective weights — is
+        # built once here; each round only swaps in its training set.
+        self._objective = SeeSawLoss(
+            features=np.zeros((0, self.query_text_vector.shape[0])),
+            labels=np.zeros(0),
+            query_text_vector=self.query_text_vector,
+            db_matrix=self.db_matrix,
+            weights=self._effective_weights(),
+            fit_bias=self.config.fit_bias,
+        )
         self._current = self.query_text_vector.copy()
         self._last_result: "AlignmentResult | None" = None
 
@@ -115,15 +126,7 @@ class SeeSawQueryAligner:
             )
             self._last_result = result
             return result
-        loss = SeeSawLoss(
-            features=features,
-            labels=labels,
-            query_text_vector=self.query_text_vector,
-            db_matrix=self.db_matrix,
-            weights=self._effective_weights(),
-            fit_bias=self.config.fit_bias,
-            sample_weights=sample_weights,
-        )
+        loss = self._objective.with_feedback(features, labels, sample_weights)
         start = loss.initial_parameters(self._scaled_start())
         outcome = lbfgs_minimize(loss, start, optimizer_config or self.config.optimizer)
         weight_vector, _ = loss.split_parameters(outcome.parameters)

@@ -16,6 +16,7 @@ vector's quality as a query.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,26 +110,10 @@ class SeeSawLoss:
         fit_bias: bool = False,
         sample_weights: "np.ndarray | None" = None,
     ) -> None:
-        self.features = check_finite("features", np.atleast_2d(np.asarray(features, dtype=np.float64)))
-        self.labels = np.asarray(labels, dtype=np.float64).ravel()
-        if self.features.shape[0] != self.labels.shape[0]:
-            raise OptimizationError("features and labels must have the same length")
-        if sample_weights is None:
-            self.sample_weights = np.ones_like(self.labels)
-        else:
-            self.sample_weights = np.asarray(sample_weights, dtype=np.float64).ravel()
-            if self.sample_weights.shape != self.labels.shape:
-                raise OptimizationError("sample_weights must match labels in length")
-            if np.any(self.sample_weights < 0):
-                raise OptimizationError("sample_weights must be non-negative")
         self.query_text_vector = check_finite(
             "query_text_vector", np.asarray(query_text_vector, dtype=np.float64).ravel()
         )
         self.dim = self.query_text_vector.shape[0]
-        if self.features.size and self.features.shape[1] != self.dim:
-            raise OptimizationError(
-                "feature dimension does not match the query vector dimension"
-            )
         self.weights = weights or LossWeights()
         self.fit_bias = bool(fit_bias)
         if db_matrix is None:
@@ -141,6 +126,47 @@ class SeeSawLoss:
                 )
             # Work with the symmetrised matrix so the gradient 2 M w is exact.
             self.db_matrix = (db_matrix + db_matrix.T) / 2.0
+        self._set_feedback(features, labels, sample_weights)
+
+    def with_feedback(
+        self,
+        features: np.ndarray,
+        labels: np.ndarray,
+        sample_weights: "np.ndarray | None" = None,
+    ) -> "SeeSawLoss":
+        """The same objective over another feedback training set.
+
+        The text vector, ``M_D`` and weights are validated (and ``M_D``
+        symmetrised) once, when this loss is constructed; an aligner builds
+        one loss per session and derives each round's loss from it, so only
+        the round's training set is checked per round.
+        """
+        loss = copy.copy(self)
+        loss._set_feedback(features, labels, sample_weights)
+        return loss
+
+    def _set_feedback(
+        self,
+        features: np.ndarray,
+        labels: np.ndarray,
+        sample_weights: "np.ndarray | None",
+    ) -> None:
+        self.features = check_finite("features", np.atleast_2d(np.asarray(features, dtype=np.float64)))
+        self.labels = np.asarray(labels, dtype=np.float64).ravel()
+        if self.features.shape[0] != self.labels.shape[0]:
+            raise OptimizationError("features and labels must have the same length")
+        if sample_weights is None:
+            self.sample_weights = np.ones_like(self.labels)
+        else:
+            self.sample_weights = np.asarray(sample_weights, dtype=np.float64).ravel()
+            if self.sample_weights.shape != self.labels.shape:
+                raise OptimizationError("sample_weights must match labels in length")
+            if np.any(self.sample_weights < 0):
+                raise OptimizationError("sample_weights must be non-negative")
+        if self.features.size and self.features.shape[1] != self.dim:
+            raise OptimizationError(
+                "feature dimension does not match the query vector dimension"
+            )
 
     # ------------------------------------------------------------------
     # parameter packing

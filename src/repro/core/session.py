@@ -60,7 +60,7 @@ class SearchSession:
     feedback: FeedbackMap = field(init=False, default_factory=FeedbackMap)
     history: "list[SessionStep]" = field(init=False, default_factory=list)
     stats: SessionStats = field(init=False, default_factory=SessionStats)
-    _pending: "dict[int, ImageResult]" = field(init=False, default_factory=dict)
+    _pending: "dict[int, SessionStep]" = field(init=False, default_factory=dict)
     _shown_set: "set[int]" = field(init=False, default_factory=set)
     _started: bool = field(init=False, default=False)
 
@@ -113,8 +113,9 @@ class SearchSession:
         indistinguishable from a sequential one as the bookkeeping evolves.
         """
         for result in results:
-            self.history.append(SessionStep(position=len(self.history), result=result))
-            self._pending[result.image_id] = result
+            step = SessionStep(position=len(self.history), result=result)
+            self.history.append(step)
+            self._pending[result.image_id] = step
         shown = [result.image_id for result in results]
         self._shown_set.update(shown)
         self.context.mark_seen(shown)
@@ -171,7 +172,8 @@ class SearchSession:
         boxes: Iterable[BoundingBox] = (),
     ) -> None:
         """Record the user's judgement for one image of the current batch."""
-        if image_id not in self._pending:
+        step = self._pending.get(image_id)
+        if step is None:
             raise SessionError(f"Image {image_id} is not awaiting feedback")
         boxes = tuple(boxes)
         if relevant and not boxes:
@@ -185,11 +187,8 @@ class SearchSession:
             else BoxFeedback.negative(image_id)
         )
         self.feedback.update(feedback)
-        for step in reversed(self.history):
-            if step.result.image_id == image_id:
-                step.relevant = relevant
-                step.feedback_boxes = boxes
-                break
+        step.relevant = relevant
+        step.feedback_boxes = boxes
         del self._pending[image_id]
         if not self._pending:
             self._update_method()

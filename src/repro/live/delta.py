@@ -36,7 +36,12 @@ from repro.utils.linalg import (
     normalize_rows,
     unit_norm_tolerance,
 )
-from repro.vectorstore.base import VectorRecord, VectorStore, deterministic_top_k
+from repro.vectorstore.base import (
+    VectorRecord,
+    VectorStore,
+    box_column,
+    deterministic_top_k,
+)
 
 
 class DeltaVectorStore(VectorStore):
@@ -110,10 +115,16 @@ class DeltaVectorStore(VectorStore):
         self._records = list(base.records) + list(delta_records)
         scale_levels = np.empty(len(self._records), dtype=np.int8)
         scale_levels[:n_base] = base.scale_levels
+        extents: "list[float]" = []
         for offset, record in enumerate(delta_records):
             scale_levels[n_base + offset] = record.scale_level
+            box = record.box
+            extents += (box.x, box.y, box.width, box.height)
         scale_levels.setflags(write=False)
         self._scale_levels = scale_levels
+        # Only the delta's boxes are built here; the base column is read
+        # through the base store, so a mutation costs O(delta), not O(base).
+        self._delta_boxes = box_column(extents)
         self._compute_dtype = dtype
         # Instance attribute shadowing the class flag, the sharded-store
         # precedent: the live view is exactly as exhaustive as its base.
@@ -158,17 +169,46 @@ class DeltaVectorStore(VectorStore):
 
     @property
     def vectors(self) -> np.ndarray:
-        """The full matrix, materialised (serialization/merge path only).
+        """The full matrix, materialised: a base-sized copy on every call.
 
-        The hot paths never call this — scoring goes through the segment
-        kernels below — so the concatenation cost is paid exactly once, by
-        the merger when it seals a new segment.
+        Its callers are whole-corpus consumers: index serialization
+        (``repro.store.serialize``), the legacy engine parity oracle
+        (``repro.engine.legacy``) and tests that compare a live view
+        against a rebuild.  Scoring goes through the
+        segment kernels below and training-set gathers through
+        :meth:`take_rows`, so no session round pays this concatenation.
         """
         stacked = np.concatenate(
             [np.asarray(self._base.vectors), self._delta], axis=0
         )
         stacked.setflags(write=False)
         return stacked
+
+    @property
+    def boxes(self) -> np.ndarray:
+        """The full box column, materialised (see :attr:`vectors`)."""
+        stacked = np.concatenate([self._base.boxes, self._delta_boxes], axis=0)
+        stacked.setflags(write=False)
+        return stacked
+
+    def take_rows(self, vector_ids: np.ndarray) -> np.ndarray:
+        """Gather rows by splitting ids at the base length (no full matrix)."""
+        return self._take_split(vector_ids, self._base.take_rows, self._delta)
+
+    def take_boxes(self, vector_ids: np.ndarray) -> np.ndarray:
+        """Gather box rows by splitting ids at the base length."""
+        return self._take_split(vector_ids, self._base.take_boxes, self._delta_boxes)
+
+    def _take_split(self, vector_ids, take_base, delta_column: np.ndarray) -> np.ndarray:
+        ids = np.asarray(vector_ids, dtype=np.int64)
+        n_base = len(self._base)
+        in_base = ids < n_base
+        if bool(in_base.all()):
+            return take_base(ids)
+        out = np.empty((ids.shape[0], delta_column.shape[1]), dtype=delta_column.dtype)
+        out[in_base] = take_base(ids[in_base])
+        out[~in_base] = delta_column[ids[~in_base] - n_base]
+        return out
 
     def vector(self, vector_id: int) -> np.ndarray:
         if not 0 <= vector_id < len(self):

@@ -52,6 +52,19 @@ def deterministic_top_k(scores: np.ndarray, ids: np.ndarray, k: int) -> np.ndarr
     return chosen[np.lexsort((ids[chosen], -scores[chosen]))]
 
 
+def box_column(extents: "list[float]") -> np.ndarray:
+    """Read-only ``(n, 4)`` ``(x, y, x2, y2)`` column from flat ``x, y, width, height`` runs.
+
+    ``x2 = x + width`` and ``y2 = y + height`` are the same float additions
+    :attr:`BoundingBox.x2` / :attr:`BoundingBox.y2` perform, so the column
+    holds exactly the corners the records' boxes report.
+    """
+    boxes = np.array(extents, dtype=np.float64).reshape(-1, 4)
+    boxes[:, 2:] += boxes[:, :2]
+    boxes.setflags(write=False)
+    return boxes
+
+
 @dataclass(frozen=True)
 class VectorRecord:
     """Metadata attached to one stored vector.
@@ -120,13 +133,17 @@ class VectorStore(ABC):
                 f"record count {len(records)} does not match vector count {vectors.shape[0]}"
             )
         scale_levels = np.empty(len(records), dtype=np.int8)
+        extents: "list[float]" = []
         for position, record in enumerate(records):
             if record.vector_id != position:
                 raise VectorStoreError(
                     "records must be ordered so record.vector_id equals its row index"
                 )
             scale_levels[position] = record.scale_level
+            box = record.box
+            extents += (box.x, box.y, box.width, box.height)
         scale_levels.setflags(write=False)
+        boxes = box_column(extents)
         # Rows already in canonical form are kept bit-exact instead of being
         # re-divided by a norm of 1±ulp: rebuilding a store from another
         # store's vectors (shard slices, cache loads) must not drift scores
@@ -152,6 +169,7 @@ class VectorStore(ABC):
             self._vectors = ensure_dtype(normalize_rows(vectors), dtype)
         self._records = list(records)
         self._scale_levels = scale_levels
+        self._boxes = boxes
         self._compute_dtype = dtype
 
     # ------------------------------------------------------------------
@@ -197,6 +215,30 @@ class VectorStore(ABC):
         comparison instead of per-record attribute access.
         """
         return self._scale_levels
+
+    @property
+    def boxes(self) -> np.ndarray:
+        """Per-vector patch boxes as an ``(n, 4)`` float64 column (read-only).
+
+        Columns are ``(x, y, x2, y2)``, the corners the records' boxes
+        report.  Built during record validation alongside
+        :attr:`scale_levels`, so box-vs-feedback overlap is one vectorized
+        expression instead of a per-record ``BoundingBox`` walk.
+        """
+        return self._boxes
+
+    def take_rows(self, vector_ids: np.ndarray) -> np.ndarray:
+        """The stored vectors at ``vector_ids``, gathered into a new array.
+
+        Equal, bit for bit, to ``vectors[vector_ids]``; stores that keep
+        their rows in segments (the live delta view) override it so the
+        gather never materialises the full matrix.
+        """
+        return self._vectors[vector_ids]
+
+    def take_boxes(self, vector_ids: np.ndarray) -> np.ndarray:
+        """The ``(x, y, x2, y2)`` box rows at ``vector_ids`` (a new array)."""
+        return self._boxes[vector_ids]
 
     def record(self, vector_id: int) -> VectorRecord:
         """Metadata for one stored vector."""

@@ -13,7 +13,9 @@ the query engine (and everything above it) is written against:
 * exclusions (mask or legacy id set) are honored absolutely;
 * edge cases (k > n, everything excluded, bad k, bad dimensions) are
   handled identically everywhere;
-* ``score_all`` / ``score_many`` agree with a manual scan.
+* ``score_all`` / ``score_many`` agree with a manual scan;
+* ``take_rows`` / ``take_boxes`` gather exactly the rows of ``vectors`` and
+  of the ``boxes`` column, which holds the records' box corners.
 
 Approximate backends may return *fewer or different* candidates than an
 exact scan — the contract never asserts recall — but whatever they return
@@ -59,7 +61,7 @@ def _corpus(seed: int = 11, image_count: int = 30):
                 VectorRecord(
                     vector_id=vector_id,
                     image_id=image_id,
-                    box=BoundingBox(0.0, 0.0, 32.0, 32.0),
+                    box=BoundingBox(8.0 * patch, float(image_id), 32.0, 24.0),
                     scale_level=0 if patch == 0 else 1,
                 )
             )
@@ -243,3 +245,23 @@ class TestStructure:
         else:
             expected = isinstance(store, ExactVectorStore)
         assert store.exhaustive == expected
+
+
+class TestRowGatherContract:
+    """``take_rows`` / ``take_boxes`` are gathers over the stored columns."""
+
+    def test_take_rows_is_the_matrix_gather(self, store):
+        ids = np.array([len(store) - 1, 0, 3, 3, 7], dtype=np.int64)
+        rows = store.take_rows(ids)
+        assert rows.dtype == store.compute_dtype
+        assert rows.tobytes() == np.asarray(store.vectors)[ids].tobytes()
+
+    def test_boxes_column_matches_records(self, store):
+        corners = np.array(
+            [(r.box.x, r.box.y, r.box.x2, r.box.y2) for r in store.records]
+        )
+        assert store.boxes.dtype == np.float64
+        assert np.array_equal(store.boxes, corners)
+        assert not store.boxes.flags.writeable
+        ids = np.array([len(store) - 1, 0, 3, 3, 7], dtype=np.int64)
+        assert np.array_equal(store.take_boxes(ids), corners[ids])

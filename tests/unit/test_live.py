@@ -25,7 +25,7 @@ from repro.exceptions import (
     VectorStoreError,
 )
 from repro.live import DeltaVectorStore, MANIFEST_FORMAT, RETAINED_GENERATIONS
-from repro.server.api import StartSessionRequest
+from repro.server.api import BoxPayload, FeedbackRequest, StartSessionRequest
 from repro.server.service import SeeSawService
 
 
@@ -211,6 +211,23 @@ class TestDeltaVectorStore:
         )
         with pytest.raises(VectorStoreError, match="share"):
             delta._share_vectors(np.zeros((1, store.dim)))
+
+    def test_row_and_box_gathers_split_at_the_base(self, base_index):
+        store = base_index.store
+        n_base = len(store)
+        vectors, records = self._delta_parts(base_index, 3)
+        delta = DeltaVectorStore(
+            store, vectors, records, np.zeros(n_base + 3, dtype=bool)
+        )
+        ids = np.array([n_base + 2, 0, n_base, n_base - 1, 5, n_base + 1])
+        assert delta.take_rows(ids).tobytes() == delta.vectors[ids].tobytes()
+        corners = np.array(
+            [(r.box.x, r.box.y, r.box.x2, r.box.y2) for r in delta.records]
+        )
+        assert np.array_equal(delta.boxes, corners)
+        assert np.array_equal(delta.take_boxes(ids), corners[ids])
+        base_ids = ids[ids < n_base]
+        assert np.array_equal(delta.take_boxes(base_ids), store.take_boxes(base_ids))
 
     def test_score_many_matches_score_all(self, base_index):
         store = base_index.store
@@ -518,5 +535,58 @@ class TestSegmentMerger:
             )
             assert total >= 1
             assert "seesaw_delta_rows" in families
+        finally:
+            service.live.close()
+
+
+# ---------------------------------------------------------------------------
+# sessions over a live view
+# ---------------------------------------------------------------------------
+class TestLiveViewFeedbackRounds:
+    def test_feedback_rounds_never_materialise_the_full_matrix(self, monkeypatch):
+        """The update gathers training rows per segment, never via ``vectors``.
+
+        ``DeltaVectorStore.vectors`` concatenates the whole base matrix with
+        the delta on every call; a feedback round that reached for it paid a
+        base-sized copy per round.
+        """
+        service, dataset = make_service()
+        try:
+            category = dataset.categories[0].name
+            service.live.upsert_images(
+                "live", [new_image(930, category), new_image(931, category)]
+            )
+            service.live.delete_images("live", [dataset.images[0].image_id])
+            index = service.index_for("live", multiscale=True)
+            store = index.store
+            assert isinstance(store, DeltaVectorStore)
+            assert store.delta_rows and store.tombstone_count
+
+            def materialised(self):
+                raise AssertionError("a feedback round materialised the full matrix")
+
+            monkeypatch.setattr(DeltaVectorStore, "vectors", property(materialised))
+            info = service.start_session(
+                StartSessionRequest(dataset="live", text_query=f"a {category}")
+            )
+            labelled: "list[int]" = []
+            while True:
+                response = service.next_results(info.session_id)
+                if not response.items:
+                    break
+                for item in response.items:
+                    image = index.dataset.image(item.image_id)
+                    relevant = category in image.categories
+                    info = service.give_feedback(
+                        FeedbackRequest(
+                            session_id=info.session_id,
+                            image_id=item.image_id,
+                            relevant=relevant,
+                            boxes=(BoxPayload(0.0, 0.0, 320.0, 240.0),) if relevant else (),
+                        )
+                    )
+                    labelled.append(item.image_id)
+            assert info.rounds >= 4
+            assert {930, 931} <= set(labelled)  # delta rows were labelled
         finally:
             service.live.close()
