@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -55,7 +56,7 @@ class SeeSawIndex:
         dataset: ImageDataset,
         embedding: EmbeddingModel,
         store: VectorStore,
-        image_vector_ids: "dict[int, tuple[int, ...]]",
+        image_vector_ids: "Mapping[int, Sequence[int]] | ImageSegments",
         knn_graph: "KnnGraph | None",
         db_matrix: "np.ndarray | None",
         config: SeeSawConfig,
@@ -66,8 +67,18 @@ class SeeSawIndex:
         self.store = store
         # The CSR segment layout is the source of truth for the
         # vector <-> image mapping; the legacy dict interface survives as
-        # adapters (``vector_ids_for_image`` and friends) over it.
-        self.segments = ImageSegments.from_mapping(image_vector_ids, len(store))
+        # adapters (``vector_ids_for_image`` and friends) over it.  A
+        # ready-made layout (a live view's, derived from its parent
+        # version's) is adopted as-is.
+        if isinstance(image_vector_ids, ImageSegments):
+            if image_vector_ids.vector_count != len(store):
+                raise IndexingError(
+                    f"segment layout covers {image_vector_ids.vector_count} "
+                    f"vectors, store holds {len(store)}"
+                )
+            self.segments = image_vector_ids
+        else:
+            self.segments = ImageSegments.from_mapping(image_vector_ids, len(store))
         self.knn_graph = knn_graph
         self.db_matrix = db_matrix
         self.config = config

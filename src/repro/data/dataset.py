@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -101,11 +102,63 @@ class ImageDataset:
             name: frozenset(ids) for name, ids in positives.items()
         }
 
+    def derive(
+        self,
+        removed_image_ids: "Iterable[int]",
+        added: "Sequence[SyntheticImage]",
+    ) -> "ImageDataset":
+        """This dataset with some images dropped and new images appended.
+
+        ``removed_image_ids`` (deleted or replaced images) leave the image
+        order; ``added`` go to the end, in order.  Only the touched images
+        are validated and only the touched categories' positive sets are
+        rebuilt; the rest is shared with this dataset or copied at C speed
+        (the id index and the image tuple), with no per-image Python work.
+        """
+        removed = frozenset(int(image_id) for image_id in removed_image_ids)
+        # ``_image_index`` is kept in image order (removals pop, additions
+        # append), so the new image tuple is one C-level pass over it.
+        image_index = dict(self._image_index)
+        touched: "set[str]" = set()
+        for image_id in removed:
+            try:
+                touched |= image_index.pop(image_id).categories
+            except KeyError as exc:
+                raise DatasetError(
+                    f"Unknown image id {image_id} in dataset '{self.name}'"
+                ) from exc
+        for image in added:
+            if image.image_id in image_index:
+                raise DatasetError(f"Dataset '{self.name}' has duplicate image ids")
+            for category in image.categories:
+                if category not in self._category_index:
+                    raise DatasetError(
+                        f"Image {image.image_id} uses unknown category '{category}'"
+                    )
+            image_index[image.image_id] = image
+            touched |= image.categories
+        if not image_index:
+            raise DatasetError(f"Dataset '{self.name}' has no images")
+        positives = dict(self._positives)
+        for category in touched:
+            positives[category] = (positives[category] - removed) | frozenset(
+                image.image_id for image in added if category in image.categories
+            )
+        derived = copy.copy(self)
+        derived.images = tuple(image_index.values())
+        derived._image_index = image_index
+        derived._positives = positives
+        return derived
+
     def __len__(self) -> int:
         return len(self.images)
 
     def __iter__(self) -> Iterator[SyntheticImage]:
         return iter(self.images)
+
+    def __contains__(self, image_id: object) -> bool:
+        """True when an image with this id is in the dataset."""
+        return image_id in self._image_index
 
     @property
     def category_names(self) -> tuple[str, ...]:

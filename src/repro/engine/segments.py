@@ -62,15 +62,21 @@ class ImageSegments:
                 raise IndexingError("segment vector id out of range")
             if np.unique(self.order).size != self.order.size:
                 raise IndexingError("a vector id may belong to at most one image")
-        self.vector_image_rows = np.full(vector_count, -1, dtype=np.int64)
-        self.vector_image_rows[self.order] = np.repeat(
+        vector_image_rows = np.full(vector_count, -1, dtype=np.int64)
+        vector_image_rows[self.order] = np.repeat(
             np.arange(self.image_ids.size, dtype=np.int64), lengths
         )
-        self._row_by_image = {
-            int(image_id): row for row, image_id in enumerate(self.image_ids)
-        }
+        self._adopt(vector_image_rows)
+
+    def _adopt(self, vector_image_rows: np.ndarray) -> None:
+        """Index the image ids, record contiguity, and freeze the columns."""
+        self.vector_image_rows = vector_image_rows
+        self._row_by_image = dict(
+            zip(self.image_ids.tolist(), range(self.image_ids.size))
+        )
         if len(self._row_by_image) != self.image_ids.size:
             raise IndexingError("image ids must be unique")
+        vector_count = vector_image_rows.size
         self._contiguous = bool(
             self.order.size == vector_count
             and np.array_equal(self.order, np.arange(vector_count))
@@ -111,6 +117,78 @@ class ImageSegments:
         else:
             order = np.zeros(0, dtype=np.int64)
         return cls(image_ids, order, offsets, vector_count)
+
+    def derive(
+        self,
+        removed_image_ids: "Iterable[int]",
+        added: "Sequence[tuple[int, np.ndarray]]",
+        vector_count: int,
+    ) -> "ImageSegments":
+        """The layout with some images dropped and new segments appended.
+
+        ``removed_image_ids`` (deleted or replaced images) lose their rows;
+        the surviving rows keep their relative order, and each
+        ``(image_id, vector_ids)`` in ``added`` becomes a new row at the end,
+        in order — the layout a from-scratch ``from_mapping`` over the
+        resulting mapping would produce.  ``vector_count`` may grow to cover
+        appended vectors.  The constructor's invariants are checked on what
+        changed: appended ids are in range and owned by no surviving image,
+        no appended segment is empty, and image ids stay unique.  The rest
+        is a handful of vectorized column copies, no per-image Python work.
+        """
+        if vector_count < self.vector_count:
+            raise IndexingError("a derived layout cannot cover fewer vectors")
+        drop_rows = np.unique(self.rows_for_images(removed_image_ids))
+        keep = np.ones(self.image_count, dtype=bool)
+        keep[drop_rows] = False
+        lengths = self.counts
+        new_lengths = np.fromiter(
+            (len(ids) for _, ids in added), dtype=np.int64, count=len(added)
+        )
+        if new_lengths.size and new_lengths.min() < 1:
+            raise IndexingError("every image must contribute at least one vector")
+        appended = (
+            np.concatenate([np.asarray(ids, dtype=np.int64) for _, ids in added])
+            if added
+            else np.zeros(0, dtype=np.int64)
+        )
+        if appended.size:
+            if appended.min() < 0 or appended.max() >= vector_count:
+                raise IndexingError("segment vector id out of range")
+            if np.unique(appended).size != appended.size:
+                raise IndexingError("a vector id may belong to at most one image")
+            reused = appended[appended < self.vector_count]
+            owners = self.vector_image_rows[reused]
+            if keep[owners[owners >= 0]].any():
+                raise IndexingError("a vector id may belong to at most one image")
+        kept_positions = np.ones(self.order.size, dtype=bool)
+        for row in drop_rows:
+            kept_positions[self.offsets[row] : self.offsets[row + 1]] = False
+        kept_images = int(keep.sum())
+        # Old row -> new row, with a trailing -1 so unowned vectors (-1)
+        # gather -1 and dropped rows map to -1 in one take.
+        renumber = np.full(self.image_count + 1, -1, dtype=np.int64)
+        renumber[:-1][keep] = np.arange(kept_images, dtype=np.int64)
+        vector_image_rows = np.full(vector_count, -1, dtype=np.int64)
+        vector_image_rows[: self.vector_count] = renumber[self.vector_image_rows]
+        vector_image_rows[appended] = np.repeat(
+            np.arange(kept_images, kept_images + len(added), dtype=np.int64),
+            new_lengths,
+        )
+        derived = object.__new__(ImageSegments)
+        derived.image_ids = np.concatenate(
+            [
+                self.image_ids[keep],
+                np.fromiter((i for i, _ in added), dtype=np.int64, count=len(added)),
+            ]
+        )
+        derived.order = np.concatenate([self.order[kept_positions], appended])
+        derived.offsets = np.zeros(derived.image_ids.size + 1, dtype=np.int64)
+        np.cumsum(
+            np.concatenate([lengths[keep], new_lengths]), out=derived.offsets[1:]
+        )
+        derived._adopt(vector_image_rows)
+        return derived
 
     # ------------------------------------------------------------------
     # shape accessors

@@ -26,6 +26,8 @@ new sealed segment off the request path.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from repro.exceptions import VectorStoreError
@@ -44,6 +46,121 @@ from repro.vectorstore.base import (
 )
 
 
+class DeltaLog:
+    """Append-only delta columns shared by every live version over one base.
+
+    Rows, box corners, scale levels and records of upserted patches are
+    appended into capacity-doubling buffers (the ``FeedbackMap`` pattern);
+    each published version's :class:`DeltaVectorStore` is a read-only
+    *prefix* view of them.  Rows are never rewritten: an append writes past
+    every published prefix, and a reallocation copies into fresh buffers
+    while older versions keep the old ones, so a retained or pinned version
+    stays bit-stable however the log grows.  The scale-level column covers
+    the base rows too (copied once per base), so every version's full
+    column is a prefix slice.  A merge starts a new log over the new base.
+    """
+
+    def __init__(self, base: VectorStore) -> None:
+        self.base = base
+        self.n_base = len(base)
+        self.count = 0
+        self.records: "list[VectorRecord]" = []
+        self._rows = np.zeros((0, base.dim), dtype=base.compute_dtype)
+        self._boxes = np.zeros((0, 4), dtype=np.float64)
+        self._levels = np.array(base.scale_levels, dtype=np.int8)
+
+    def append(
+        self, vectors: np.ndarray, records: "Sequence[VectorRecord]"
+    ) -> None:
+        """Validate and append rows; only the new rows are checked.
+
+        Every check runs before the first write, so a rejected append
+        leaves the log untouched.
+        """
+        base = self.base
+        dtype = base.compute_dtype
+        rows = ensure_dtype(np.asarray(vectors), dtype)
+        if rows.ndim != 2 or (rows.size and rows.shape[1] != base.dim):
+            raise VectorStoreError(
+                f"delta vectors must be (count x {base.dim}), got shape {rows.shape}"
+            )
+        if len(records) != rows.shape[0]:
+            raise VectorStoreError(
+                f"delta record count {len(records)} does not match delta "
+                f"vector count {rows.shape[0]}"
+            )
+        start = self.n_base + self.count
+        for offset, record in enumerate(records):
+            if record.vector_id != start + offset:
+                raise VectorStoreError(
+                    "delta records must be ordered so record.vector_id equals "
+                    "base length plus its delta row index"
+                )
+        added = rows.shape[0]
+        if not added:
+            return
+        # The same canonical-row adoption the sealed store performs: rows
+        # already unit (or zero) within the dtype's tolerance are kept
+        # bit-exact, so a delta row embedded by the same deterministic
+        # embedding a rebuild would run scores identically in both views.
+        norms = np.linalg.norm(rows, axis=1)
+        canonical = (np.abs(norms - 1.0) < unit_norm_tolerance(dtype)) | (
+            norms < ZERO_NORM_EPSILON
+        )
+        if not bool(canonical.all()):
+            rows = ensure_dtype(normalize_rows(rows), dtype)
+        extents: "list[float]" = []
+        for record in records:
+            box = record.box
+            extents += (box.x, box.y, box.width, box.height)
+        boxes = box_column(extents)
+        levels = np.fromiter(
+            (record.scale_level for record in records), dtype=np.int8, count=added
+        )
+        end = self.count + added
+        if end > self._rows.shape[0]:
+            capacity = max(2 * self._rows.shape[0], end, 64)
+            self._rows = _grown(self._rows, self.count, capacity)
+            self._boxes = _grown(self._boxes, self.count, capacity)
+            self._levels = _grown(self._levels, start, self.n_base + capacity)
+        self._rows[self.count : end] = rows
+        self._boxes[self.count : end] = boxes
+        self._levels[start : start + added] = levels
+        self.records.extend(records)
+        self.count = end
+
+    def view(
+        self,
+        parent: "DeltaVectorStore | None" = None,
+        dead: "np.ndarray | None" = None,
+    ) -> "DeltaVectorStore":
+        """Publish the log's current prefix as a read-only store.
+
+        The tombstone column is ``parent``'s (all clear without one),
+        copied, with the ``dead`` vector ids set.
+        """
+        total = self.n_base + self.count
+        tombstones = np.zeros(total, dtype=bool)
+        if parent is not None:
+            tombstones[: len(parent)] = parent.tombstones
+        if dead is not None:
+            tombstones[dead] = True
+        return DeltaVectorStore._over(self, tombstones)
+
+
+def _grown(column: np.ndarray, used: int, capacity: int) -> np.ndarray:
+    """A fresh, larger buffer holding ``column``'s first ``used`` entries."""
+    grown = np.empty((capacity,) + column.shape[1:], dtype=column.dtype)
+    grown[:used] = column[:used]
+    return grown
+
+
+def _prefix(column: np.ndarray, stop: int) -> np.ndarray:
+    view = column[:stop]
+    view.setflags(write=False)
+    return view
+
+
 class DeltaVectorStore(VectorStore):
     """A sealed base store plus an append-only delta segment and tombstones.
 
@@ -54,6 +171,9 @@ class DeltaVectorStore(VectorStore):
     view over an exhaustive base still full-scans (base kernel + delta
     kernel fill one column), a live view over a candidate store drives the
     base's candidate API and scans only the delta exactly.
+
+    The live registry publishes versions through :meth:`DeltaLog.view`;
+    constructing one directly builds a private log holding the given rows.
     """
 
     def __init__(
@@ -66,66 +186,35 @@ class DeltaVectorStore(VectorStore):
         # Deliberately does NOT call VectorStore.__init__: the base segment's
         # matrix is adopted by reference (it may be a shared mmap), never
         # copied or revalidated here.
-        dtype = base.compute_dtype
-        n_base = len(base)
-        delta = ensure_dtype(np.asarray(delta_vectors), dtype)
-        if delta.ndim != 2 or (delta.size and delta.shape[1] != base.dim):
-            raise VectorStoreError(
-                f"delta vectors must be (count x {base.dim}), got shape {delta.shape}"
-            )
-        if delta.shape[0] == 0:
-            delta = np.zeros((0, base.dim), dtype=dtype)
-        if len(delta_records) != delta.shape[0]:
-            raise VectorStoreError(
-                f"delta record count {len(delta_records)} does not match delta "
-                f"vector count {delta.shape[0]}"
-            )
-        for offset, record in enumerate(delta_records):
-            if record.vector_id != n_base + offset:
-                raise VectorStoreError(
-                    "delta records must be ordered so record.vector_id equals "
-                    "base length plus its delta row index"
-                )
-        # The same canonical-row adoption the sealed store performs: rows
-        # already unit (or zero) within the dtype's tolerance are kept
-        # bit-exact, so a delta row embedded by the same deterministic
-        # embedding a rebuild would run scores identically in both views.
-        if delta.shape[0]:
-            norms = np.linalg.norm(delta, axis=1)
-            canonical = (np.abs(norms - 1.0) < unit_norm_tolerance(dtype)) | (
-                norms < ZERO_NORM_EPSILON
-            )
-            if not bool(canonical.all()):
-                delta = ensure_dtype(normalize_rows(delta), dtype)
-            elif delta.flags.writeable:
-                delta = delta.copy()
-        delta.setflags(write=False)
-        tombstones = np.asarray(tombstones, dtype=bool)
-        if tombstones.shape != (n_base + delta.shape[0],):
+        log = DeltaLog(base)
+        log.append(delta_vectors, delta_records)
+        self._adopt(log, np.array(tombstones, dtype=bool))
+
+    @classmethod
+    def _over(cls, log: DeltaLog, tombstones: np.ndarray) -> "DeltaVectorStore":
+        store = cls.__new__(cls)
+        store._adopt(log, tombstones)
+        return store
+
+    def _adopt(self, log: DeltaLog, tombstones: np.ndarray) -> None:
+        """Freeze the log's current prefix (and a tombstone column) as this view."""
+        base = log.base
+        count = log.count
+        total = log.n_base + count
+        if tombstones.shape != (total,):
             raise VectorStoreError(
                 f"tombstones must be a boolean column over all "
-                f"{n_base + delta.shape[0]} rows, got shape {tombstones.shape}"
+                f"{total} rows, got shape {tombstones.shape}"
             )
-        tombstones = tombstones.copy()
         tombstones.setflags(write=False)
-
         self._base = base
-        self._delta = delta
+        self._log = log
+        self._delta = _prefix(log._rows, count)
+        self._delta_boxes = _prefix(log._boxes, count)
+        self._scale_levels = _prefix(log._levels, total)
+        self._delta_records = log.records
         self._tombstones = tombstones
-        self._records = list(base.records) + list(delta_records)
-        scale_levels = np.empty(len(self._records), dtype=np.int8)
-        scale_levels[:n_base] = base.scale_levels
-        extents: "list[float]" = []
-        for offset, record in enumerate(delta_records):
-            scale_levels[n_base + offset] = record.scale_level
-            box = record.box
-            extents += (box.x, box.y, box.width, box.height)
-        scale_levels.setflags(write=False)
-        self._scale_levels = scale_levels
-        # Only the delta's boxes are built here; the base column is read
-        # through the base store, so a mutation costs O(delta), not O(base).
-        self._delta_boxes = box_column(extents)
-        self._compute_dtype = dtype
+        self._compute_dtype = base.compute_dtype
         # Instance attribute shadowing the class flag, the sharded-store
         # precedent: the live view is exactly as exhaustive as its base.
         self.exhaustive = bool(base.exhaustive)
@@ -139,6 +228,11 @@ class DeltaVectorStore(VectorStore):
         return self._base
 
     @property
+    def log(self) -> DeltaLog:
+        """The shared append-only log this version is a prefix of."""
+        return self._log
+
+    @property
     def delta_rows(self) -> int:
         """Unsealed rows appended since the base segment was sealed."""
         return self._delta.shape[0]
@@ -150,7 +244,7 @@ class DeltaVectorStore(VectorStore):
 
     @property
     def tombstone_count(self) -> int:
-        return int(self._tombstones.sum())
+        return int(np.count_nonzero(self._tombstones))
 
     @property
     def live_rows(self) -> int:
@@ -209,6 +303,19 @@ class DeltaVectorStore(VectorStore):
         out[in_base] = take_base(ids[in_base])
         out[~in_base] = delta_column[ids[~in_base] - n_base]
         return out
+
+    @property
+    def records(self) -> "tuple[VectorRecord, ...]":
+        """All records, materialised: the base's plus this version's delta."""
+        return self._base.records + tuple(self._delta_records[: self.delta_rows])
+
+    def record(self, vector_id: int) -> VectorRecord:
+        n_base = len(self._base)
+        if 0 <= vector_id < n_base:
+            return self._base.record(vector_id)
+        if not n_base <= vector_id < len(self):
+            raise VectorStoreError(f"Unknown vector id {vector_id}")
+        return self._delta_records[vector_id - n_base]
 
     def vector(self, vector_id: int) -> np.ndarray:
         if not 0 <= vector_id < len(self):

@@ -6,9 +6,9 @@ as a content-hash-keyed raw-``.npy`` entry the next process start can
 memory-map — executed *off the request path*.  While the build runs,
 queries keep flowing against the old generation and mutations keep landing
 in the delta; at swap time the operations that arrived after the snapshot
-are replayed (with their original sequence numbers and versions) as a fresh
-delta over the new base, and the live index reference is swapped by a
-single assignment.  In-flight sessions finish on the generation they
+are replayed (with their original sequence numbers and versions) onto the
+new base through the same derive step every mutation takes, and the live
+index reference is swapped by a single assignment.  In-flight sessions finish on the generation they
 started with; seen-state survives because it is keyed by stable external
 image ids, not store rows.
 
@@ -113,7 +113,7 @@ class SegmentMerger:
                 if not state.has_delta or state.base_index is None:
                     state.merge_inflight = False
                     return False
-                snapshot = state.merged_dataset()
+                snapshot = state.dataset
                 snapshot_seq = state.mutation_seq
                 embedding = state.base_index.embedding
             try:
@@ -131,12 +131,8 @@ class SegmentMerger:
                             registry._apply_op(
                                 state, op, payload, seq=seq, bump_version=False
                             )
-                        state.generation += 1
                         state.merges_completed += 1
-                        live = registry._build_live_index(state)
-                        registry._swap_current(state, live)
-                        state.retain(live)
-                        registry._persist_manifest(state)
+                        registry._publish_current(state)
                 elapsed = time.perf_counter() - start
                 registry._merges_total.labels(state.name).inc()
                 registry._merge_seconds.observe(elapsed)

@@ -1,13 +1,15 @@
 """Versioned dataset registry: the control plane of the mutable tier.
 
 Every registered dataset gets a :class:`LiveDatasetState` — the sealed base
-index, the writable delta (rows, records, tombstones), the canonical image
-ordering, and a mutation journal — plus a monotonically increasing
+index, the current live view (whose store carries the delta rows and
+tombstones and whose segments and dataset carry the canonical image
+ordering), and a mutation journal — plus a monotonically increasing
 *version* (one per logical mutation) and *generation* (one per physical
 swap, so a compaction that changes no logical content still advances it).
 ``register_dataset`` publishes version 1; every upsert/delete publishes the
-next version; sessions may pin any retained version and get bit-stable
-results for that exact corpus.
+next version, *derived* from the current one so that it costs work in the
+images it names, not in the corpus; sessions may pin any retained version
+and get bit-stable results for that exact corpus.
 
 The canonical ordering is the bit-identity linchpin: surviving base images
 keep their base order, images added (or re-added by an upsert) go to the
@@ -27,7 +29,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -36,13 +38,14 @@ from repro.config import MultiscaleConfig, SeeSawConfig
 from repro.core.indexing import IndexBuildReport, SeeSawIndex
 from repro.core.multiscale import generate_patches
 from repro.data.dataset import ImageDataset
+from repro.data.geometry import BoundingBox
 from repro.data.image import SyntheticImage
 from repro.exceptions import (
     ServiceOverloadedError,
     SessionError,
     UnknownResourceError,
 )
-from repro.live.delta import DeltaVectorStore
+from repro.live.delta import DeltaLog, DeltaVectorStore
 from repro.store.serialize import write_json_atomic
 from repro.vectorstore.base import VectorRecord
 
@@ -65,9 +68,14 @@ class LiveDatasetState:
     reference — which is swapped by one dict/attribute assignment so query
     paths read it without taking the lock (in-flight sessions keep whatever
     index object they started on; that is the zero-downtime contract).
+
+    ``current`` is also the whole delta state: its store is a prefix view
+    of the base's append-only :class:`~repro.live.delta.DeltaLog`, its
+    segments and dataset are the canonical image order, and the next
+    mutation derives from it.
     """
 
-    def __init__(self, name: str, config: SeeSawConfig) -> None:
+    def __init__(self, name: str, config: SeeSawConfig, dataset: ImageDataset) -> None:
         self.name = name
         self.config = config
         self.lock = threading.RLock()
@@ -75,37 +83,43 @@ class LiveDatasetState:
         self.version = 1
         self.generation = 1
         self.mutation_seq = 0
-        self.categories: "tuple" = ()
-        self.description = ""
+        self.registered = dataset
         self.base_index: "SeeSawIndex | None" = None
         self.base_cache_key: "str | None" = None
         self.current: "SeeSawIndex | None" = None
-        self.images: "OrderedDict[int, SyntheticImage]" = OrderedDict()
-        self.image_vector_ids: "OrderedDict[int, tuple[int, ...]]" = OrderedDict()
-        self.delta_vectors: "list[np.ndarray]" = []
-        self.delta_records: "list[VectorRecord]" = []
-        self.tombstoned: "set[int]" = set()
         self.journal: "list[tuple[int, str, object]]" = []
         self.generations: "OrderedDict[int, SeeSawIndex]" = OrderedDict()
         self.merge_inflight = False
         self.merges_completed = 0
 
     @property
+    def dataset(self) -> ImageDataset:
+        """The current logical corpus, in canonical (row-stable) order."""
+        return self.registered if self.current is None else self.current.dataset
+
+    @property
+    def delta(self) -> "DeltaVectorStore | None":
+        """The current view's delta-over-base store (None on a sealed view)."""
+        store = None if self.current is None else self.current.store
+        return store if isinstance(store, DeltaVectorStore) else None
+
+    @property
     def delta_rows(self) -> int:
-        return len(self.delta_records)
+        delta = self.delta
+        return 0 if delta is None else delta.delta_rows
+
+    @property
+    def tombstones(self) -> int:
+        delta = self.delta
+        return 0 if delta is None else delta.tombstone_count
 
     @property
     def has_delta(self) -> bool:
-        return bool(self.delta_records) or bool(self.tombstoned)
+        return bool(self.delta_rows or self.tombstones)
 
     def merged_dataset(self) -> ImageDataset:
-        """The current logical corpus, in canonical (row-stable) order."""
-        return ImageDataset(
-            name=self.name,
-            images=list(self.images.values()),
-            categories=self.categories,
-            description=self.description,
-        )
+        """The current logical corpus (:attr:`dataset`, the corpus a merge seals)."""
+        return self.dataset
 
     def retain(self, index: SeeSawIndex) -> None:
         """Remember ``index`` as the pinnable view of the current version."""
@@ -167,11 +181,7 @@ class DatasetRegistry:
     # ------------------------------------------------------------------
     def publish(self, dataset: ImageDataset) -> LiveDatasetState:
         """Publish version 1 of ``dataset`` (re-registering resets lineage)."""
-        state = LiveDatasetState(dataset.name, self._live_config())
-        state.categories = tuple(dataset.categories)
-        state.description = dataset.description
-        for image in dataset.images:
-            state.images[image.image_id] = image
+        state = LiveDatasetState(dataset.name, self._live_config(), dataset)
         with self._states_lock:
             self._states[dataset.name] = state
         self._persist_manifest(state)
@@ -206,16 +216,6 @@ class DatasetRegistry:
         """Reset the delta state onto a freshly sealed base index."""
         state.base_index = index
         state.current = index
-        state.images = OrderedDict(
-            (image.image_id, image) for image in index.dataset.images
-        )
-        state.image_vector_ids = OrderedDict(
-            (image_id, index.vector_ids_for_image(image_id))
-            for image_id in index.image_ids
-        )
-        state.delta_vectors = []
-        state.delta_records = []
-        state.tombstoned = set()
         state.journal = []
         cache = self.service._caches.get(state.name)
         if cache is not None:
@@ -264,9 +264,9 @@ class DatasetRegistry:
                 "name": state.name,
                 "version": state.version,
                 "generation": state.generation,
-                "image_count": len(state.images),
+                "image_count": len(state.dataset),
                 "delta_rows": state.delta_rows,
-                "tombstones": len(state.tombstoned),
+                "tombstones": state.tombstones,
                 "merges_completed": state.merges_completed,
                 "cache_key": state.base_cache_key,
                 "retained_versions": sorted(state.generations),
@@ -341,7 +341,7 @@ class DatasetRegistry:
                     f"duplicate image id {image.image_id} in one upsert"
                 )
             seen.add(image.image_id)
-        known = {info.name for info in state.categories}
+        known = set(state.dataset.category_names)
         for image in images:
             unknown = image.categories - known
             if unknown:
@@ -351,10 +351,11 @@ class DatasetRegistry:
                 )
         with state.lock:
             self._ensure_base(state)
-            projected = state.delta_rows + sum(
-                len(generate_patches(image.width, image.height, state.config.multiscale))
+            patches = [
+                generate_patches(image.width, image.height, state.config.multiscale)
                 for image in images
-            )
+            ]
+            projected = state.delta_rows + sum(len(specs) for specs in patches)
             if projected > self.service.config.delta_max_rows:
                 self.merger.schedule(state)
                 raise ServiceOverloadedError(
@@ -364,8 +365,9 @@ class DatasetRegistry:
                     "progress, retry shortly",
                     retry_after_seconds=0.5,
                 )
-            self._apply_op(state, "upsert", tuple(images))
-            self._publish_mutation(state)
+            with obs.trace_span("live_publish", op="upsert"):
+                self._apply_op(state, "upsert", tuple(images), patches=patches)
+                self._publish_current(state)
         self.merger.maybe_schedule(state)
         return self.manifest(state)
 
@@ -386,18 +388,19 @@ class DatasetRegistry:
                 if image_id in seen:
                     continue
                 seen.add(image_id)
-                if image_id not in state.images:
+                if image_id not in state.dataset:
                     raise UnknownResourceError(
                         f"Image {image_id} is not in dataset '{name}'"
                     )
                 wanted.append(image_id)
-            if len(state.images) - len(wanted) < 1:
+            if len(state.dataset) - len(wanted) < 1:
                 raise SessionError(
-                    f"Cannot delete all {len(state.images)} images of "
+                    f"Cannot delete all {len(state.dataset)} images of "
                     f"'{name}'; a dataset must keep at least one"
                 )
-            self._apply_op(state, "delete", tuple(wanted))
-            self._publish_mutation(state)
+            with obs.trace_span("live_publish", op="delete"):
+                self._apply_op(state, "delete", tuple(wanted))
+                self._publish_current(state)
         self.merger.maybe_schedule(state)
         return self.manifest(state)
 
@@ -408,44 +411,74 @@ class DatasetRegistry:
         payload: object,
         seq: "int | None" = None,
         bump_version: bool = True,
+        patches: "Sequence[Sequence[tuple[BoundingBox, int]]] | None" = None,
     ) -> None:
-        """Apply one journal operation to the delta state (lock held).
+        """Derive the next view from ``state.current`` for one journal op.
 
-        ``seq``/``bump_version`` let the merger replay operations that
-        arrived while a background compaction was building — they keep their
-        original sequence numbers and already-assigned versions.
+        The one mutation path: upserts, deletes, and the merger's replay of
+        operations that arrived while a compaction was building (which keep
+        their original sequence numbers and already-assigned versions, via
+        ``seq``/``bump_version``).  Lock held.
         """
         if seq is None:
             state.mutation_seq += 1
             seq = state.mutation_seq
+        dataset = state.dataset
         if op == "upsert":
-            self._apply_upsert(state, payload)  # type: ignore[arg-type]
+            images: "tuple[SyntheticImage, ...]" = payload  # type: ignore[assignment]
+            removed = [image.image_id for image in images if image.image_id in dataset]
         elif op == "delete":
-            self._apply_delete(state, payload)  # type: ignore[arg-type]
+            images = ()
+            # A replayed delete's target is always present (the snapshot plus
+            # the earlier replays is the state the delete was checked against),
+            # but an absent id must stay a no-op, not a failed merge.
+            removed = [image_id for image_id in payload if image_id in dataset]  # type: ignore[attr-defined]
         else:  # pragma: no cover - internal invariant
             raise SessionError(f"Unknown mutation op '{op}'")
+        state.current = self._derive(state, removed, images, patches)
         state.journal.append((seq, op, payload))
         if bump_version:
             state.version += 1
 
-    def _apply_upsert(
-        self, state: LiveDatasetState, images: "Iterable[SyntheticImage]"
-    ) -> None:
-        assert state.base_index is not None
-        embedding = state.base_index.embedding
-        n_base = len(state.base_index.store)
-        for image in images:
-            old = state.image_vector_ids.pop(image.image_id, None)
-            if old is not None:
-                state.tombstoned.update(old)
-                state.images.pop(image.image_id, None)
-            ids: "list[int]" = []
-            for box, scale_level in generate_patches(
-                image.width, image.height, state.config.multiscale
-            ):
-                vector_id = n_base + len(state.delta_records)
-                state.delta_vectors.append(embedding.embed_region(image, box))
-                state.delta_records.append(
+    def _derive(
+        self,
+        state: LiveDatasetState,
+        removed: "Sequence[int]",
+        images: "Sequence[SyntheticImage]",
+        patches: "Sequence[Sequence[tuple[BoundingBox, int]]] | None",
+    ) -> SeeSawIndex:
+        """Version v+1's live view from version v's, touching only named images.
+
+        ``removed`` images (deleted or replaced) are tombstoned and dropped
+        from the segments and the dataset; ``images`` are embedded, appended
+        to the shared delta log and given new segments at the end — the
+        canonical position a from-scratch rebuild gives them.  Everything
+        unchanged is shared with the parent version.
+        """
+        assert state.base_index is not None and state.current is not None
+        base = state.base_index
+        parent = state.current
+        parent_delta = state.delta
+        log = DeltaLog(base.store) if parent_delta is None else parent_delta.log
+        if log.n_base + log.count != len(parent.store):  # pragma: no cover
+            raise SessionError("a live view derives only from the newest version")
+        if patches is None:
+            patches = [
+                generate_patches(image.width, image.height, state.config.multiscale)
+                for image in images
+            ]
+        embedding = base.embedding
+        vector_id = len(parent.store)
+        vectors: "list[np.ndarray]" = []
+        records: "list[VectorRecord]" = []
+        added: "list[tuple[int, np.ndarray]]" = []
+        for image, specs in zip(images, patches):
+            added.append(
+                (image.image_id, np.arange(vector_id, vector_id + len(specs)))
+            )
+            for box, scale_level in specs:
+                vectors.append(embedding.embed_region(image, box))
+                records.append(
                     VectorRecord(
                         vector_id=vector_id,
                         image_id=image.image_id,
@@ -453,52 +486,19 @@ class DatasetRegistry:
                         scale_level=scale_level,
                     )
                 )
-                ids.append(vector_id)
-            # Re-inserted at the end of both ordered maps: the canonical
-            # position a from-scratch rebuild would give the image.
-            state.images[image.image_id] = image
-            state.image_vector_ids[image.image_id] = tuple(ids)
-
-    def _apply_delete(
-        self, state: LiveDatasetState, image_ids: "Iterable[int]"
-    ) -> None:
-        for image_id in image_ids:
-            old = state.image_vector_ids.pop(image_id, None)
-            if old is None:
-                continue  # replay of a delete whose target a merge removed
-            state.tombstoned.update(old)
-            state.images.pop(image_id, None)
-
-    def _publish_mutation(self, state: LiveDatasetState) -> None:
-        """Rebuild the live view, swap it in, and persist the manifest."""
-        state.generation += 1
-        index = self._build_live_index(state)
-        self._swap_current(state, index)
-        state.retain(index)
-        self._persist_manifest(state)
-
-    def _build_live_index(self, state: LiveDatasetState) -> SeeSawIndex:
-        """The delta-over-base view of the state's current logical corpus."""
-        assert state.base_index is not None
-        base = state.base_index
-        if not state.has_delta:
-            return base
-        if state.delta_vectors:
-            delta_matrix = np.stack(state.delta_vectors)
-        else:
-            delta_matrix = np.zeros((0, base.store.dim), dtype=base.store.compute_dtype)
-        total = len(base.store) + len(state.delta_records)
-        tombstones = np.zeros(total, dtype=bool)
-        if state.tombstoned:
-            tombstones[
-                np.fromiter(state.tombstoned, dtype=np.int64, count=len(state.tombstoned))
-            ] = True
-        store = DeltaVectorStore(
-            base.store, delta_matrix, list(state.delta_records), tombstones
-        )
+                vector_id += 1
+        segments = parent.segments
+        dead = [
+            segments.vector_ids_for_row(row) for row in segments.rows_for_images(removed)
+        ]
+        segments = segments.derive(removed, added, vector_id)
+        dataset = parent.dataset.derive(removed, images)
+        if vectors:
+            log.append(np.stack(vectors), records)
+        store = log.view(parent_delta, np.concatenate(dead) if dead else None)
         report = IndexBuildReport(
             dataset_name=state.name,
-            image_count=len(state.images),
+            image_count=len(dataset),
             vector_count=len(store),
             embedding_seconds=0.0,
             store_seconds=0.0,
@@ -510,15 +510,23 @@ class DatasetRegistry:
         # different row space every mutation).  The search method degrades
         # gracefully — alignment resumes on the next sealed generation.
         return SeeSawIndex(
-            dataset=state.merged_dataset(),
-            embedding=base.embedding,
+            dataset=dataset,
+            embedding=embedding,
             store=store,
-            image_vector_ids=dict(state.image_vector_ids),
+            image_vector_ids=segments,
             knn_graph=None,
             db_matrix=None,
             config=state.config,
             build_report=report,
         )
+
+    def _publish_current(self, state: LiveDatasetState) -> None:
+        """Swap the derived view in, retain it, and persist the manifest."""
+        assert state.current is not None
+        state.generation += 1
+        self._swap_current(state, state.current)
+        state.retain(state.current)
+        self._persist_manifest(state)
 
     def _swap_current(self, state: LiveDatasetState, index: SeeSawIndex) -> None:
         """Atomically point new lookups at ``index`` (old sessions unaffected)."""

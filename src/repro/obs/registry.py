@@ -41,6 +41,9 @@ class MetricsError(ReproError):
 
 
 DEFAULT_LATENCY_BUCKETS: "tuple[float, ...]" = (
+    0.00001,
+    0.000025,
+    0.00005,
     0.0001,
     0.00025,
     0.0005,
@@ -58,10 +61,10 @@ DEFAULT_LATENCY_BUCKETS: "tuple[float, ...]" = (
     5.0,
     10.0,
 )
-"""Latency bucket upper bounds (seconds): 100µs to 10s, roughly 1-2.5-5 per
-decade.  Wide enough that the same buckets serve both the sub-millisecond
-engine stages and full request round trips, so every latency series in the
-catalog is directly comparable."""
+"""Latency bucket upper bounds (seconds): 10µs to 10s, roughly 1-2.5-5 per
+decade.  Wide enough that the same buckets serve both the tens-of-µs
+engine stages (pool/select on small indexes) and full request round trips,
+so every latency series in the catalog is directly comparable."""
 
 DEFAULT_SIZE_BUCKETS: "tuple[float, ...]" = (1, 2, 4, 8, 16, 32, 64, 128)
 """Bucket bounds for small cardinalities (batch/cohort sizes)."""

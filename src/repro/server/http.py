@@ -38,6 +38,10 @@ class SeeSawRequestHandler(BaseHTTPRequestHandler):
     server: "SeeSawHTTPServer"
     server_version = "SeeSawHTTP/1.0"
     protocol_version = "HTTP/1.1"
+    # Headers and body go out as separate writes; with Nagle on, the body
+    # waits for the client's delayed ACK of the headers (~40 ms per
+    # kept-alive request).  TCP_NODELAY sends each write at once.
+    disable_nagle_algorithm = True
 
     def do_GET(self) -> None:  # noqa: N802 - http.server naming convention
         self._dispatch("GET")

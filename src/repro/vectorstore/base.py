@@ -291,7 +291,7 @@ class VectorStore(ABC):
 
     def _hits_from_ids(self, ids: np.ndarray, scores: np.ndarray) -> "list[SearchHit]":
         return [
-            SearchHit(vector_id=int(vid), score=float(score), record=self._records[int(vid)])
+            SearchHit(vector_id=int(vid), score=float(score), record=self.record(int(vid)))
             for vid, score in zip(ids, scores)
         ]
 

@@ -154,3 +154,28 @@ class TestHealthyStreamKeepAlive:
             assert b"/second" in second.read()
         finally:
             conn.close()
+
+
+class TestKeepAliveLatency:
+    def test_sequential_keep_alive_requests_do_not_stall(self, stub_server):
+        """No Nagle/delayed-ACK stall between a response's header and body.
+
+        With Nagle on, the body segment waits for the client's delayed ACK
+        of the header segment, about 40 ms per request on Linux loopback.
+        """
+        conn = _connection(stub_server)
+        try:
+            conn.request("GET", "/warm")
+            conn.getresponse().read()
+            sock = conn.sock
+            started = time.perf_counter()
+            for index in range(20):
+                conn.request("GET", f"/ping/{index}")
+                response = conn.getresponse()
+                assert response.status == 200
+                response.read()
+            elapsed = time.perf_counter() - started
+            assert conn.sock is sock  # one kept-alive connection throughout
+            assert elapsed < 0.2, f"20 keep-alive requests took {elapsed * 1000:.0f} ms"
+        finally:
+            conn.close()

@@ -133,6 +133,53 @@ class TestImageDataset:
         with pytest.raises(DatasetError):
             ImageDataset("dup", [simple_image], [info, info, chair])
 
+    def test_derive_matches_a_fresh_dataset(self, tiny_dataset):
+        images = list(tiny_dataset)
+        category = tiny_dataset.category_names[0]
+        replacement = SyntheticImage(
+            image_id=images[3].image_id,
+            width=640,
+            height=480,
+            context="indoor",
+            objects=(ObjectInstance(category=category, box=BoundingBox(0, 0, 50, 50)),),
+        )
+        fresh = SyntheticImage(
+            image_id=10**6, width=640, height=480, context="indoor", objects=()
+        )
+        removed = [images[3].image_id, images[7].image_id]
+        derived = tiny_dataset.derive(removed, [replacement, fresh])
+        survivors = [image for image in images if image.image_id not in removed]
+        expected = ImageDataset(
+            tiny_dataset.name,
+            survivors + [replacement, fresh],
+            tiny_dataset.categories,
+            tiny_dataset.description,
+        )
+        assert derived.images == expected.images
+        assert derived.category_names == expected.category_names
+        for name in expected.category_names:
+            assert derived.positive_image_ids(name) == expected.positive_image_ids(name)
+        assert images[7].image_id not in derived and 10**6 in derived
+        assert len(tiny_dataset) == len(images)  # the parent is untouched
+
+    def test_derive_validates_touched_images(self, tiny_dataset):
+        image = next(iter(tiny_dataset))
+        with pytest.raises(DatasetError, match="duplicate"):
+            tiny_dataset.derive([], [image])
+        with pytest.raises(DatasetError, match="Unknown image id"):
+            tiny_dataset.derive([10**9], [])
+        stranger = SyntheticImage(
+            image_id=10**6,
+            width=640,
+            height=480,
+            context="indoor",
+            objects=(ObjectInstance(category="unicorn", box=BoundingBox(0, 0, 5, 5)),),
+        )
+        with pytest.raises(DatasetError, match="unknown category"):
+            tiny_dataset.derive([], [stranger])
+        with pytest.raises(DatasetError, match="no images"):
+            tiny_dataset.derive([image.image_id for image in tiny_dataset], [])
+
 
 class TestSceneGenerator:
     def test_min_positives_enforced(self, tiny_dataset):

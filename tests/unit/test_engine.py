@@ -262,6 +262,53 @@ class TestImageSegments:
         with pytest.raises(ValueError):
             segments.vector_ids_for_row(0)[0] = 5  # slices inherit the flag
 
+    @staticmethod
+    def _assert_same_layout(derived, expected):
+        assert derived.image_ids.tolist() == expected.image_ids.tolist()
+        assert derived.order.tolist() == expected.order.tolist()
+        assert derived.offsets.tolist() == expected.offsets.tolist()
+        assert derived.vector_image_rows.tolist() == expected.vector_image_rows.tolist()
+        assert derived._contiguous == expected._contiguous
+        for image_id in expected.image_ids.tolist():
+            assert derived.row_for_image(image_id) == expected.row_for_image(image_id)
+
+    def test_derive_matches_from_mapping(self):
+        parent = ImageSegments.from_mapping({1: [0, 1], 2: [2], 3: [3, 4]}, 5)
+        # Replace 2 (new vectors 5, 6), delete 1, add 4 (vector 7).
+        derived = parent.derive([2, 1], [(2, [5, 6]), (4, [7])], 8)
+        expected = ImageSegments.from_mapping({3: [3, 4], 2: [5, 6], 4: [7]}, 8)
+        self._assert_same_layout(derived, expected)
+        for column in (derived.order, derived.offsets, derived.vector_image_rows):
+            assert not column.flags.writeable
+
+    def test_derive_append_keeps_contiguity(self):
+        parent = ImageSegments.from_mapping({1: [0, 1], 2: [2]}, 3)
+        derived = parent.derive([], [(3, [3, 4])], 5)
+        self._assert_same_layout(
+            derived, ImageSegments.from_mapping({1: [0, 1], 2: [2], 3: [3, 4]}, 5)
+        )
+        assert derived._contiguous
+
+    def test_derive_checks_what_changed(self):
+        parent = ImageSegments.from_mapping({1: [0, 1], 2: [2]}, 4)
+        with pytest.raises(IndexingError, match="at least one vector"):
+            parent.derive([], [(3, [])], 4)
+        with pytest.raises(IndexingError, match="out of range"):
+            parent.derive([], [(3, [4])], 4)
+        with pytest.raises(IndexingError, match="at most one image"):
+            parent.derive([], [(3, [1])], 4)  # owned by surviving image 1
+        with pytest.raises(IndexingError, match="at most one image"):
+            parent.derive([], [(3, [3]), (4, [3])], 4)
+        with pytest.raises(IndexingError, match="unique"):
+            parent.derive([], [(2, [3])], 4)  # 2 is still present
+        with pytest.raises(IndexingError, match="not in the index"):
+            parent.derive([9], [], 4)
+        with pytest.raises(IndexingError, match="fewer vectors"):
+            parent.derive([], [], 3)
+        # A removed image's vectors may be re-owned by its replacement.
+        derived = parent.derive([1], [(5, [1, 3])], 4)
+        assert derived.vector_image_rows.tolist() == [-1, 1, 0, 1]
+
 
 class TestSeenMask:
     @pytest.fixture()

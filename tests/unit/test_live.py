@@ -590,3 +590,71 @@ class TestLiveViewFeedbackRounds:
             assert {930, 931} <= set(labelled)  # delta rows were labelled
         finally:
             service.live.close()
+
+
+class TestDerivedPublish:
+    def test_mutations_never_rebuild_the_whole_view(self, monkeypatch):
+        """A publish derives from the parent version, touching only named images.
+
+        The whole-corpus rebuild rebuilt the segment layout from a mapping,
+        rebuilt the dataset from every image, and a materialised delta
+        matrix; with all three raising, an upsert, a delete and the next
+        session round must still succeed.
+        """
+        from repro.engine.segments import ImageSegments
+        from repro.live.registry import LiveDatasetState
+
+        service, dataset = make_service()
+        try:
+            category = dataset.categories[0].name
+            service.live.upsert_images("live", [new_image(940, category)])
+
+            def rebuilt(*args, **kwargs):
+                raise AssertionError("a mutation rebuilt the whole live view")
+
+            monkeypatch.setattr(ImageSegments, "from_mapping", rebuilt)
+            monkeypatch.setattr(DeltaVectorStore, "vectors", property(rebuilt))
+            monkeypatch.setattr(LiveDatasetState, "merged_dataset", rebuilt)
+            service.live.upsert_images("live", [new_image(941, category)])
+            manifest = service.live.delete_images("live", [940])
+            assert manifest["version"] == 4
+            index = service.index_for("live", multiscale=True)
+            assert 941 in index.image_ids and 940 not in index.image_ids
+            info = service.start_session(
+                StartSessionRequest(dataset="live", text_query=f"a {category}")
+            )
+            first = service.next_results(info.session_id)
+            for item in first.items:
+                service.give_feedback(
+                    FeedbackRequest(
+                        session_id=info.session_id,
+                        image_id=item.image_id,
+                        relevant=category in index.dataset.image(item.image_id).categories,
+                    )
+                )
+            second = service.next_results(info.session_id)
+            assert second.items
+            assert not {item.image_id for item in first.items} & {
+                item.image_id for item in second.items
+            }
+        finally:
+            service.live.close()
+
+    def test_publish_is_a_traced_stage(self):
+        service, dataset = make_service()
+
+        def publishes() -> float:
+            prefix = 'seesaw_stage_seconds_count{stage="live_publish"} '
+            for line in service.metrics.to_prometheus_text().splitlines():
+                if line.startswith(prefix):
+                    return float(line[len(prefix) :])
+            return 0.0
+
+        try:
+            category = dataset.categories[0].name
+            before = publishes()
+            service.live.upsert_images("live", [new_image(942, category)])
+            service.live.delete_images("live", [942])
+            assert publishes() == before + 2
+        finally:
+            service.live.close()

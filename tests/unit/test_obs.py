@@ -133,6 +133,14 @@ class TestHistogram:
         counts, _, _ = histogram.snapshot()
         assert counts == [2, 0, 0]
 
+    def test_default_buckets_resolve_sub_100us_stages(self):
+        histogram = Histogram(bounds=DEFAULT_LATENCY_BUCKETS)
+        histogram.observe(30e-6)
+        counts, _, _ = histogram.snapshot()
+        landed = counts.index(1)
+        assert DEFAULT_LATENCY_BUCKETS[landed] < 100e-6
+        assert DEFAULT_LATENCY_BUCKETS[landed - 1] < 30e-6 <= DEFAULT_LATENCY_BUCKETS[landed]
+
     def test_bounds_must_be_strictly_increasing(self):
         with pytest.raises(MetricsError, match="strictly increasing"):
             Histogram(bounds=(1.0, 1.0, 2.0))
